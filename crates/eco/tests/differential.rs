@@ -100,7 +100,7 @@ fn apply_matches_a_from_scratch_rebuild_on_all_families() {
             }
         }
     }
-    assert_eq!(combos, 7 * 4 * 2, "every family/seed/rate combo must run");
+    assert_eq!(combos, 9 * 4 * 2, "every family/seed/rate combo must run");
 }
 
 /// Bootstraps on `h`, applies `delta` incrementally, and checks the two

@@ -15,7 +15,11 @@
 //!   top-down splitters),
 //! * [`zero_weight`] — a hierarchy level with `w_l = 0` (cost ties),
 //! * [`duplicate_nets`] — every net repeated verbatim (span counters
-//!   must price each copy).
+//!   must price each copy),
+//! * [`heavy_tailed`] — Pareto node sizes up to the leaf capacity (the
+//!   non-unit shape of every coarse multilevel level),
+//! * [`components`] — several disconnected components plus isolated
+//!   nodes, with mixed sizes (trees that stop short of the netlist).
 //!
 //! These generators are written against `HypergraphBuilder` directly and
 //! share no code with `htp_netlist::gen`.
@@ -269,6 +273,102 @@ pub fn duplicate_nets(nodes: usize, seed: u64) -> Instance {
     }
 }
 
+/// Heavy-tailed node sizes: Pareto(α = 1.2) sizes, so a few nodes carry
+/// much of the total, on a chain plus random 2–4 pin nets. Sizes are
+/// clamped to half the default spec's leaf capacity `C_0` — the cluster
+/// cap a multilevel coarse level carries by default — re-clamping until
+/// stable, since clamping lowers the total and with it `C_0`.
+pub fn heavy_tailed(nodes: usize, seed: u64) -> Instance {
+    assert!(nodes >= 8, "heavy_tailed needs at least 8 nodes");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x4845_4156); // "HEAV"
+    let mut sizes: Vec<u64> = (0..nodes)
+        .map(|_| {
+            // Inversion sampling with u in (0, 1].
+            let u = 1.0 - rng.random_range(0.0..1.0f64);
+            (u.powf(-1.0 / 1.2).floor() as u64).clamp(1, nodes as u64)
+        })
+        .collect();
+    loop {
+        let total = sizes.iter().sum::<u64>();
+        let cap = TreeSpec::full_tree(total, 3, 2, 1.25, 1.0)
+            .expect("generated spec is valid")
+            .capacity(0)
+            / 2;
+        if sizes.iter().all(|&s| s <= cap) {
+            break;
+        }
+        for s in &mut sizes {
+            *s = (*s).clamp(1, cap.max(1));
+        }
+    }
+    let mut b = HypergraphBuilder::new();
+    for &s in &sizes {
+        b.add_node(s);
+    }
+    chain_range(&mut b, 0, nodes);
+    for _ in 0..nodes / 2 {
+        let fanout = rng.random_range(2..=4usize);
+        let pins: Vec<NodeId> = (0..fanout)
+            .map(|_| NodeId::new(rng.random_range(0..nodes)))
+            .collect();
+        b.add_net_lenient(1.0, pins)
+            .expect("random pins are in range");
+    }
+    let hypergraph = b.build().expect("heavy-tailed instances are well-formed");
+    let spec = default_spec(&hypergraph);
+    Instance {
+        family: "heavy-tailed",
+        seed,
+        hypergraph,
+        spec,
+    }
+}
+
+/// Disconnected components and isolated nodes: every fifth node (ids
+/// `2, 7, 12, …`) has no net at all, and the rest fall at random into
+/// four components, each a chain over its members plus random 2–3 pin
+/// nets inside it. Component nodes have sizes 1–2, so FLOW takes the
+/// weighted prefix order on an instance where no tree spans the netlist.
+pub fn components(nodes: usize, seed: u64) -> Instance {
+    assert!(nodes >= 8, "components needs at least 8 nodes");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x434f_4d50); // "COMP"
+    let mut b = HypergraphBuilder::new();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); 4];
+    for v in 0..nodes {
+        if v % 5 == 2 {
+            b.add_node(1);
+        } else {
+            b.add_node(1 + rng.random_range(0..2u64));
+            members[rng.random_range(0..4usize)].push(v);
+        }
+    }
+    for m in &members {
+        for w in m.windows(2) {
+            b.add_net(1.0, [NodeId::new(w[0]), NodeId::new(w[1])])
+                .expect("component pins are in range");
+        }
+        if m.len() < 3 {
+            continue;
+        }
+        for _ in 0..m.len() / 2 {
+            let fanout = rng.random_range(2..=3usize);
+            let pins: Vec<NodeId> = (0..fanout)
+                .map(|_| NodeId::new(m[rng.random_range(0..m.len())]))
+                .collect();
+            b.add_net_lenient(1.0, pins)
+                .expect("component pins are in range");
+        }
+    }
+    let hypergraph = b.build().expect("component instances are well-formed");
+    let spec = default_spec(&hypergraph);
+    Instance {
+        family: "components",
+        seed,
+        hypergraph,
+        spec,
+    }
+}
+
 /// The registry the conformance harness and the differential binary
 /// iterate: one modest instance per family, all derived from `seed`.
 pub fn all_families(seed: u64) -> Vec<Instance> {
@@ -280,6 +380,8 @@ pub fn all_families(seed: u64) -> Vec<Instance> {
         chain(48, seed),
         zero_weight(64, seed),
         duplicate_nets(48, seed),
+        heavy_tailed(64, seed),
+        components(64, seed),
     ]
 }
 
@@ -300,7 +402,9 @@ mod tests {
                 "clique",
                 "chain",
                 "zero-weight",
-                "duplicate-nets"
+                "duplicate-nets",
+                "heavy-tailed",
+                "components"
             ]
         );
     }
@@ -333,6 +437,53 @@ mod tests {
         assert_eq!(inst.hypergraph.num_nets(), 3 * 7);
     }
 
+    #[test]
+    fn heavy_tailed_sizes_fit_half_a_leaf_and_vary() {
+        for seed in 0..20 {
+            let inst = heavy_tailed(64, seed);
+            let h = &inst.hypergraph;
+            let sizes: Vec<u64> = h.nodes().map(|v| h.node_size(v)).collect();
+            let cap = inst.spec.capacity(0) / 2;
+            assert!(
+                sizes.iter().all(|&s| s <= cap),
+                "seed {seed}: node over C_0 / 2"
+            );
+            assert!(!h.has_unit_sizes(), "seed {seed}: sizes never varied");
+        }
+    }
+
+    #[test]
+    fn components_has_isolated_nodes_and_several_components() {
+        let inst = components(64, 1997);
+        let h = &inst.hypergraph;
+        let isolated = h.nodes().filter(|&v| h.node_nets(v).is_empty()).count();
+        assert!(isolated >= 64 / 5, "only {isolated} isolated nodes");
+        // Union the pins of every net; count the multi-node classes.
+        let mut root: Vec<usize> = (0..h.num_nodes()).collect();
+        fn find(root: &mut [usize], v: usize) -> usize {
+            let mut r = v;
+            while root[r] != r {
+                r = root[r];
+            }
+            root[v] = r;
+            r
+        }
+        for e in h.nets() {
+            let pins = h.net_pins(e);
+            for w in &pins[1..] {
+                let (a, b) = (find(&mut root, pins[0].index()), find(&mut root, w.index()));
+                root[a] = b;
+            }
+        }
+        let mut classes: Vec<usize> = (0..h.num_nodes())
+            .filter(|&v| !h.node_nets(NodeId::new(v)).is_empty())
+            .map(|v| find(&mut root, v))
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
+        assert!(classes.len() >= 2, "expected several components");
+    }
+
     proptest! {
         // Bounded fuzz-smoke: every family builds a structurally sound
         // netlist for arbitrary seeds and a range of sizes.
@@ -349,6 +500,8 @@ mod tests {
                 chain(n, seed),
                 zero_weight(n, seed),
                 duplicate_nets(n, seed),
+                heavy_tailed(n, seed),
+                components(n, seed),
             ] {
                 let h = &inst.hypergraph;
                 prop_assert!(h.num_nodes() > 0);
