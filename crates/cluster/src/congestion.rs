@@ -8,9 +8,9 @@
 
 use rand::{Rng, RngExt};
 
-use htp_core::sptree::TreeGrower;
-use htp_core::SpreadingMetric;
-use htp_netlist::{Hypergraph, NodeId};
+use htp_core::sptree::CsrGrowerScratch;
+use htp_graph::IndexedMinHeap;
+use htp_netlist::{CsrHypergraph, Hypergraph};
 
 /// Parameters of the congestion computation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,44 +77,33 @@ pub fn flow_congestion<R: Rng + ?Sized>(
     );
     let n = h.num_nodes();
     let mut flow = vec![params.epsilon; h.num_nets()];
-    let mut metric = SpreadingMetric::from_lengths(
-        h.nets()
-            .map(|e| length_of(params.alpha, params.epsilon, h.net_capacity(e)))
-            .collect(),
-    );
+    let initial: Vec<f64> = h
+        .nets()
+        .map(|e| length_of(params.alpha, params.epsilon, h.net_capacity(e)))
+        .collect();
+    let mut csr = CsrHypergraph::with_lengths(h, &initial);
+    let mut grower = CsrGrowerScratch::new(&csr);
+    let mut heap = IndexedMinHeap::new(n);
     let mut routed = 0;
 
     for _ in 0..params.pairs {
-        let s = NodeId::new(rng.random_range(0..n));
-        let t = NodeId::new(rng.random_range(0..n));
+        let s = rng.random_range(0..n) as u32;
+        let t = rng.random_range(0..n) as u32;
         if s == t {
             continue;
         }
-        // Route s -> t on the current metric; stop as soon as t settles.
-        let mut parent_net = vec![None; n];
-        let mut parent_node = vec![None; n];
-        let mut reached = false;
-        for step in TreeGrower::new(h, &metric, s) {
-            parent_net[step.node.index()] = step.via_net;
-            parent_node[step.node.index()] = step.parent;
-            if step.node == t {
-                reached = true;
-                break;
-            }
-        }
-        if !reached {
+        // Route s -> t on the current lengths; stop as soon as t settles.
+        if !grower.tree(&csr, &mut heap, s).any(|step| step.node.0 == t) {
             continue; // different components
         }
         routed += 1;
         // Walk the path back, injecting flow.
         let mut cur = t;
-        while let (Some(e), Some(p)) = (parent_net[cur.index()], parent_node[cur.index()]) {
+        while let Some((e, p)) = grower.tree_edge(cur) {
             flow[e.index()] += params.delta;
-            metric.set_length(
-                e,
-                length_of(params.alpha, flow[e.index()], h.net_capacity(e)),
-            );
-            cur = p;
+            csr.lengths_mut()[e.index()] =
+                length_of(params.alpha, flow[e.index()], h.net_capacity(e));
+            cur = p.0;
         }
     }
     CongestionProfile { flow, routed }
@@ -129,7 +118,7 @@ fn length_of(alpha: f64, flow: f64, capacity: f64) -> f64 {
 mod tests {
     use super::*;
     use htp_netlist::gen::clustered::{clustered_hypergraph, ClusteredParams};
-    use htp_netlist::HypergraphBuilder;
+    use htp_netlist::{HypergraphBuilder, NodeId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -1,8 +1,6 @@
-//! Boundary tests for `find_cut_budgeted`'s stride-256 budget check and
-//! for `GrowerScratch` reuse across graphs.
+//! Boundary tests for `find_cut_budgeted`'s stride-256 budget check.
 
 use htp_core::findcut::find_cut_budgeted;
-use htp_core::sptree::{GrowerScratch, TreeGrower};
 use htp_core::{Budget, CancelToken, Interrupt, SpreadingMetric};
 use htp_netlist::{Hypergraph, HypergraphBuilder, NodeId};
 use rand::rngs::StdRng;
@@ -62,59 +60,4 @@ fn unlimited_budget_passes_the_stride_check() {
     assert!(r.in_window);
     let prefix: u64 = r.nodes.iter().map(|&v| h.node_size(v)).sum();
     assert!((1..=257).contains(&prefix));
-}
-
-#[test]
-#[should_panic(expected = "scratch sized for a different node count")]
-fn scratch_from_a_smaller_graph_is_rejected() {
-    let small = unit_chain(4);
-    let big = unit_chain(5);
-    let metric = SpreadingMetric::from_lengths(vec![1.0; big.num_nets()]);
-    let mut scratch = GrowerScratch::new(&small);
-    let _ = TreeGrower::with_scratch(&big, &metric, NodeId(0), &mut scratch);
-}
-
-#[test]
-#[should_panic(expected = "scratch sized for a different net count")]
-fn scratch_with_a_different_net_count_is_rejected() {
-    // Same node count, different net count: a chain vs. a cycle.
-    let chain = unit_chain(6);
-    let mut b = HypergraphBuilder::with_unit_nodes(6);
-    for i in 0..6u32 {
-        b.add_net(1.0, [NodeId(i), NodeId((i + 1) % 6)]).unwrap();
-    }
-    let cycle = b.build().unwrap();
-    let metric = SpreadingMetric::from_lengths(vec![1.0; cycle.num_nets()]);
-    let mut scratch = GrowerScratch::new(&chain);
-    let _ = TreeGrower::with_scratch(&cycle, &metric, NodeId(0), &mut scratch);
-}
-
-#[test]
-fn scratch_reuse_across_same_shaped_graphs_matches_fresh_buffers() {
-    // Two different topologies with identical node/net counts: a chain
-    // and a star-ish tree. One scratch serves both, in alternation, and
-    // must always reproduce the fresh-buffer distances.
-    let chain = unit_chain(8);
-    let mut b = HypergraphBuilder::with_unit_nodes(8);
-    for i in 1..8u32 {
-        b.add_net(1.0, [NodeId(0), NodeId(i)]).unwrap();
-    }
-    let star = b.build().unwrap();
-    let metric = SpreadingMetric::from_lengths((0..7).map(|i| 1.0 + i as f64).collect());
-
-    let mut scratch = GrowerScratch::new(&chain);
-    for round in 0..3 {
-        for h in [&chain, &star] {
-            for s in 0..8 {
-                let source = NodeId(s);
-                let reused: Vec<_> = TreeGrower::with_scratch(h, &metric, source, &mut scratch)
-                    .map(|step| (step.node, step.dist))
-                    .collect();
-                let fresh: Vec<_> = TreeGrower::new(h, &metric, source)
-                    .map(|step| (step.node, step.dist))
-                    .collect();
-                assert_eq!(reused, fresh, "round {round}, source {s}");
-            }
-        }
-    }
 }

@@ -14,7 +14,7 @@ use htp_core::SpreadingMetric;
 use htp_model::TreeSpec;
 use htp_netlist::Hypergraph;
 
-use crate::separation::most_violated_row;
+use crate::separation::{most_violated_rows, ConstraintRow};
 use crate::simplex::solve;
 use crate::{LinearProgram, LpError, LpOutcome};
 
@@ -84,10 +84,10 @@ pub fn lower_bound(
         rounds += 1;
         // Separate at the current point: one candidate row per source
         // node, keeping only the most violated ones.
-        let mut candidates: Vec<(f64, crate::separation::ConstraintRow)> = h
-            .nodes()
-            .filter_map(|v| {
-                most_violated_row(h, spec, &metric, v, params.tolerance).map(|row| {
+        let mut candidates: Vec<(f64, ConstraintRow)> =
+            most_violated_rows(h, spec, &metric, params.tolerance)
+                .into_iter()
+                .map(|row| {
                     let lhs: f64 = row
                         .coeffs
                         .iter()
@@ -96,8 +96,7 @@ pub fn lower_bound(
                         .sum();
                     (row.rhs - lhs, row)
                 })
-            })
-            .collect();
+                .collect();
         candidates.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("shortfalls are not NaN"));
         candidates.truncate(params.rows_per_round);
         let added = candidates.len();

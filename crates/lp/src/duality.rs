@@ -143,10 +143,8 @@ mod tests {
         let zero = htp_core::SpreadingMetric::zeros(h.num_nets());
         let mut p =
             LinearProgram::new(h.nets().map(|e| h.net_capacity(e)).collect::<Vec<_>>()).unwrap();
-        for v in h.nodes() {
-            if let Some(row) = crate::separation::most_violated_row(&h, &spec, &zero, v, 1e-9) {
-                p.add_ge_constraint(row.coeffs, row.rhs).unwrap();
-            }
+        for row in crate::separation::most_violated_rows(&h, &spec, &zero, 1e-9) {
+            p.add_ge_constraint(row.coeffs, row.rhs).unwrap();
         }
         let common = verify_strong_duality(&p, 1e-6).expect("strong duality holds");
         // This one-round restriction is itself a valid lower bound, so it

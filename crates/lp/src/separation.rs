@@ -9,10 +9,11 @@
 //! LP a *relaxation* of (P1), which is what makes the cutting-plane lower
 //! bound valid.
 
-use htp_core::sptree::TreeGrower;
+use htp_core::sptree::{CsrGrowerScratch, TreeStep};
 use htp_core::SpreadingMetric;
+use htp_graph::IndexedMinHeap;
 use htp_model::{gfn, TreeSpec};
-use htp_netlist::{Hypergraph, NodeId};
+use htp_netlist::{CsrHypergraph, Hypergraph, NodeId};
 
 /// One linearized spreading constraint: `Σ_e coeffs[e]·d(e) >= rhs`.
 #[derive(Clone, Debug, PartialEq)]
@@ -25,32 +26,41 @@ pub struct ConstraintRow {
     pub source: NodeId,
 }
 
-/// Grows the shortest-path tree from `source` under `metric` and returns a
-/// row for the **most violated** prefix (largest `g − lhs`), or `None` if
-/// every prefix satisfies its constraint within `tolerance`.
-pub fn most_violated_row(
+/// Separates at `metric`: grows the shortest-path tree from every source
+/// and returns, in source order, a row for each source's **most violated**
+/// prefix (largest `g − lhs`). Sources whose prefixes all satisfy their
+/// constraints within `tolerance` contribute no row.
+pub fn most_violated_rows(
     h: &Hypergraph,
     spec: &TreeSpec,
     metric: &SpreadingMetric,
-    source: NodeId,
     tolerance: f64,
-) -> Option<ConstraintRow> {
-    let steps: Vec<_> = TreeGrower::new(h, metric, source).collect();
-
-    // Find the prefix with the worst shortfall.
-    let mut size = 0u64;
-    let mut lhs = 0.0;
-    let mut worst: Option<(usize, f64)> = None;
-    for (k, step) in steps.iter().enumerate() {
-        size += h.node_size(step.node);
-        lhs += step.dist * h.node_size(step.node) as f64;
-        let shortfall = gfn::spreading_bound(spec, size) - lhs;
-        if shortfall > tolerance && worst.is_none_or(|(_, w)| shortfall > w) {
-            worst = Some((k, shortfall));
+) -> Vec<ConstraintRow> {
+    let csr = CsrHypergraph::with_lengths(h, metric.lengths());
+    let mut grower = CsrGrowerScratch::new(&csr);
+    let mut heap = IndexedMinHeap::new(csr.num_nodes());
+    let mut steps = Vec::new();
+    let mut rows = Vec::new();
+    for source in h.nodes() {
+        steps.clear();
+        steps.extend(grower.tree(&csr, &mut heap, source.0));
+        // Find the prefix with the worst shortfall.
+        let mut size = 0u64;
+        let mut lhs = 0.0;
+        let mut worst: Option<(usize, f64)> = None;
+        for (k, step) in steps.iter().enumerate() {
+            size += h.node_size(step.node);
+            lhs += step.dist * h.node_size(step.node) as f64;
+            let shortfall = gfn::spreading_bound(spec, size) - lhs;
+            if shortfall > tolerance && worst.is_none_or(|(_, w)| shortfall > w) {
+                worst = Some((k, shortfall));
+            }
+        }
+        if let Some((k, _)) = worst {
+            rows.push(row_for_prefix(h, spec, &steps[..=k], source));
         }
     }
-    let (k, _) = worst?;
-    Some(row_for_prefix(h, spec, &steps[..=k], source))
+    rows
 }
 
 /// Builds the δ row for an explicit tree prefix (settle order, source
@@ -58,7 +68,7 @@ pub fn most_violated_row(
 fn row_for_prefix(
     h: &Hypergraph,
     spec: &TreeSpec,
-    prefix: &[htp_core::sptree::TreeStep],
+    prefix: &[TreeStep],
     source: NodeId,
 ) -> ConstraintRow {
     // subtree[u] accumulates the node sizes hanging at-or-below u; walking
@@ -105,7 +115,9 @@ mod tests {
     fn zero_metric_yields_a_row_with_subtree_weights() {
         let (h, spec) = fixture();
         let m = SpreadingMetric::zeros(h.num_nets());
-        let row = most_violated_row(&h, &spec, &m, NodeId(0), 1e-9).expect("violated");
+        let rows = most_violated_rows(&h, &spec, &m, 1e-9);
+        assert_eq!(rows.len(), h.num_nodes(), "every source is violated");
+        let row = &rows[0];
         // Worst prefix is the whole path: g(5) = 2·3 = 6.
         assert_eq!(row.rhs, 6.0);
         // From node 0, the tree is the path itself: δ of net i (between
@@ -120,7 +132,11 @@ mod tests {
         let (h, spec) = fixture();
         let m = SpreadingMetric::from_lengths(vec![0.3, 0.7, 0.1, 0.2]);
         // Force a full-tree row by using a huge bound: grow from node 2.
-        let steps: Vec<_> = TreeGrower::new(&h, &m, NodeId(2)).collect();
+        let csr = CsrHypergraph::with_lengths(&h, m.lengths());
+        let mut heap = IndexedMinHeap::new(csr.num_nodes());
+        let steps: Vec<_> = CsrGrowerScratch::new(&csr)
+            .tree(&csr, &mut heap, 2)
+            .collect();
         let row = row_for_prefix(&h, &spec, &steps, NodeId(2));
         let lhs_by_delta: f64 = row
             .coeffs
@@ -137,19 +153,15 @@ mod tests {
         let (h, spec) = fixture();
         // Generous lengths: everything is well spread.
         let m = SpreadingMetric::from_lengths(vec![10.0; 4]);
-        for v in h.nodes() {
-            assert!(
-                most_violated_row(&h, &spec, &m, v, 1e-9).is_none(),
-                "source {v}"
-            );
-        }
+        assert!(most_violated_rows(&h, &spec, &m, 1e-9).is_empty());
     }
 
     #[test]
     fn violated_row_is_violated_by_the_current_metric() {
         let (h, spec) = fixture();
         let m = SpreadingMetric::from_lengths(vec![0.1; 4]);
-        let row = most_violated_row(&h, &spec, &m, NodeId(4), 1e-9).unwrap();
+        let rows = most_violated_rows(&h, &spec, &m, 1e-9);
+        let row = rows.iter().find(|r| r.source == NodeId(4)).unwrap();
         let lhs: f64 = row
             .coeffs
             .iter()

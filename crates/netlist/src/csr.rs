@@ -49,6 +49,8 @@ pub struct CsrHypergraph {
     node_size: Vec<u64>,
     /// Sum of all node sizes.
     total_size: u64,
+    /// Whether every node has size 1.
+    unit_sizes: bool,
 }
 
 impl CsrHypergraph {
@@ -67,6 +69,7 @@ impl CsrHypergraph {
             net_capacity: h.net_capacity.clone(),
             node_size: h.node_size.clone(),
             total_size: h.total_size(),
+            unit_sizes: h.has_unit_sizes(),
         }
     }
 
@@ -133,6 +136,12 @@ impl CsrHypergraph {
     #[inline]
     pub fn total_size(&self) -> u64 {
         self.total_size
+    }
+
+    /// Returns `true` if all nodes have size 1.
+    #[inline]
+    pub fn has_unit_sizes(&self) -> bool {
+        self.unit_sizes
     }
 
     /// The whole length slab, for batched reads (the quantization probe).

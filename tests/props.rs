@@ -2,13 +2,15 @@
 //! generated workloads.
 
 use htp::baselines::hfm::{improve, HfmParams};
-use htp::core::constraint::{check_feasibility, find_violation, find_violation_weighted};
+use htp::core::constraint::{check_feasibility, probe_source_csr, CsrProbeScratch};
 use htp::core::construct::construct_partition;
 use htp::core::injector::{compute_spreading_metric, FlowParams};
 use htp::core::SpreadingMetric;
 use htp::model::{cost, validate, HierarchicalPartition, TreeSpec};
 use htp::netlist::gen::random::{random_hypergraph, RandomParams};
 use htp::netlist::io::hgr;
+use htp::netlist::CsrHypergraph;
+use htp::verify::audit::{shortest_distances_csr, spreading_bound, DistanceScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,35 +82,50 @@ proptest! {
         prop_assert!((cost::partition_cost(&h, &spec, &r.partition) - r.cost_after).abs() < 1e-9);
     }
 
-    /// On unit-size netlists the weighted prefix order `(dist+1)·s(u)`
-    /// degenerates to plain distance order, so the two violation oracles
-    /// must agree: same verdict and, because any two distance-sorted
+    /// On unit-size netlists the probe takes prefixes in distance order,
+    /// so its verdict must match a brute-force scan of the independent
+    /// `htp-verify` distances in sorted order: any two distance-sorted
     /// enumerations share the distance multiset at every prefix length,
-    /// identical size/lhs/bound at the first violating prefix.
+    /// so the first violated prefix has the same size, lhs and bound
+    /// whatever the tie order.
     #[test]
     fn violation_oracles_agree_on_unit_sizes(seed in 0u64..40, scale in 0.0f64..3.0) {
         let h = small_instance(seed);
+        prop_assert!(h.has_unit_sizes());
         let spec = TreeSpec::new(vec![(5, 2, 1.0), (10, 2, 1.0), (24, 2, 1.0)]).unwrap();
         let lengths: Vec<f64> =
             (0..h.num_nets()).map(|e| scale * ((e % 5) as f64) * 0.25).collect();
-        let metric = SpreadingMetric::from_lengths(lengths);
+        let csr = CsrHypergraph::with_lengths(&h, &lengths);
+        let mut scratch = CsrProbeScratch::new(&csr);
+        let (mut oracle, mut dist) = (DistanceScratch::default(), Vec::new());
         for v in h.nodes() {
-            let a = find_violation(&h, &spec, &metric, v, 1e-9);
-            let b = find_violation_weighted(&h, &spec, &metric, v, 1e-9);
-            match (&a, &b) {
-                (Some(x), Some(y)) => {
-                    prop_assert_eq!(x.size, y.size, "source {}", v);
-                    prop_assert_eq!(x.bound, y.bound, "source {}", v);
+            let got = probe_source_csr(&csr, &spec, v, 1e-9, &mut scratch, false).violation;
+            shortest_distances_csr(&csr, v.0, &mut oracle, &mut dist);
+            let mut reached: Vec<f64> = dist.iter().copied().filter(|d| d.is_finite()).collect();
+            reached.sort_by(f64::total_cmp);
+            let mut lhs = 0.0;
+            let want = reached.iter().zip(1u64..).find_map(|(d, size)| {
+                lhs += d;
+                let bound = spreading_bound(&spec, size);
+                (lhs + 1e-9 < bound).then_some((size, lhs, bound))
+            });
+            match (&got, want) {
+                (Some(x), Some((size, lhs, bound))) => {
+                    prop_assert_eq!(x.size, size, "source {}", v);
                     prop_assert!(
-                        (x.lhs - y.lhs).abs() <= 1e-9 * x.lhs.max(1.0),
-                        "source {}: lhs {} vs {}", v, x.lhs, y.lhs
+                        (x.bound - bound).abs() <= 1e-12 * bound,
+                        "source {}: bound {} vs {}", v, x.bound, bound
+                    );
+                    prop_assert!(
+                        (x.lhs - lhs).abs() <= 1e-9 * lhs.max(1.0),
+                        "source {}: lhs {} vs {}", v, x.lhs, lhs
                     );
                 }
                 (None, None) => {}
                 _ => prop_assert!(
                     false,
                     "source {}: oracles disagree ({} vs {})",
-                    v, a.is_some(), b.is_some()
+                    v, got.is_some(), want.is_some()
                 ),
             }
         }
