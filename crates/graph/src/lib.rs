@@ -1,47 +1,41 @@
 //! Graph-algorithm substrate for hierarchical tree partitioning.
 //!
-//! The paper's algorithms need a toolbox of classical graph machinery:
-//! Dijkstra's shortest paths (Algorithm 2 grows shortest-path trees), Prim's
-//! minimum spanning tree (procedure `find_cut` grows blocks Prim-style),
-//! and max-flow/min-cut (the network-flow duality underlying the whole
-//! approach, and the exact comparator used in tests). This crate provides
-//! all of it over a compact CSR graph:
+//! The data structures and the one flow algorithm the partitioner's hot
+//! paths use:
 //!
-//! * [`Graph`] — undirected weighted graph with stable edge ids and mutable
-//!   edge weights (spreading metrics re-price edges in place).
-//! * [`dijkstra`], [`prim`], [`traversal`] — shortest paths, MST, BFS/DFS.
-//! * [`maxflow`] (Dinic), [`mincut`] (s-t cut + Stoer–Wagner global cut),
-//!   and [`karger`] (randomized contraction, the paper's reference \[7\]).
-//! * [`expand`] — clique and star expansions of netlist hypergraphs.
-//! * [`UnionFind`], [`IndexedMinHeap`] — supporting data structures.
+//! * [`Frontier`] — the priority-queue contract of the shortest-path
+//!   kernel, with two implementations that pop in the same order: the
+//!   4-ary [`IndexedMinHeap`] and the bucket [`DialQueue`] (sized by
+//!   [`dial_plan`] from the net-length spectrum).
+//! * [`maxflow`] — Dinic's max-flow on a directed network, behind the
+//!   multilevel V-cycle's flow refinement.
+//! * [`UnionFind`] — disjoint sets for cluster agglomeration.
 //!
 //! # Examples
 //!
 //! ```
-//! use htp_graph::{Graph, dijkstra::shortest_paths};
+//! use htp_graph::{DialQueue, Frontier, IndexedMinHeap};
 //!
-//! let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 2.0), (0, 2, 5.0)]);
-//! let sp = shortest_paths(&g, 0);
-//! assert_eq!(sp.dist[2], 3.0); // via node 1, not the direct 5.0 edge
+//! // Both frontiers pop by (key, id): equal keys in ascending id order.
+//! let mut heap = IndexedMinHeap::new(3);
+//! let mut dial = DialQueue::new(3, 1.0, 4);
+//! for (id, key) in [(2, 1.5), (0, 1.5), (1, 0.5)] {
+//!     heap.push_or_decrease(id, key);
+//!     dial.push_or_decrease(id, key);
+//! }
+//! let order: Vec<usize> = std::iter::from_fn(|| heap.pop()).map(|(id, _)| id).collect();
+//! assert_eq!(order, vec![1, 0, 2]);
+//! assert_eq!(std::iter::from_fn(|| dial.pop()).map(|(id, _)| id).collect::<Vec<_>>(), order);
 //! ```
 
 // Library code must surface failures as typed errors, not panics.
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
-pub mod dijkstra;
-pub mod expand;
 pub mod frontier;
-pub mod graph;
 pub mod heap;
-pub mod karger;
 pub mod maxflow;
-pub mod mincut;
-pub mod prim;
-pub mod random;
-pub mod traversal;
 pub mod unionfind;
 
 pub use frontier::{dial_plan, dial_plan_forced, DialQueue, Frontier};
-pub use graph::{EdgeId, Graph};
 pub use heap::IndexedMinHeap;
 pub use unionfind::UnionFind;

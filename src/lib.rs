@@ -5,7 +5,7 @@
 //! re-exports the whole stack so applications can depend on one crate:
 //!
 //! * [`netlist`] — hypergraph netlists, I/O, synthetic circuit generators.
-//! * [`graph`] — graph algorithms (Dijkstra, Prim, Dinic, Stoer–Wagner).
+//! * [`graph`] — shortest-path frontiers, Dinic max-flow, union-find.
 //! * [`model`] — the HTP problem: tree specs, partitions, the cost
 //!   objective.
 //! * [`core`] — the paper's contribution: spreading metrics by stochastic
