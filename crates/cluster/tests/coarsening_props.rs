@@ -11,8 +11,9 @@
 //!    exactly the fine graph's total node size.
 //! 2. **Frozen fillers stay singletons** — a node under the frozen mask
 //!    never merges, whatever the net order or cap.
-//! 3. **Dedup is a weight-preserving regrouping** — `dedup_nets` maps
-//!    every fine net onto a coarse net with the identical pin set, and
+//! 3. **Dedup is a weight-preserving regrouping** — contraction under the
+//!    identity map (`contract_tracked_with`) sends every fine net onto a
+//!    coarse net with the identical pin set, and
 //!    each coarse capacity is exactly the sum (in ascending fine-id
 //!    order) of the capacities that merged into it.
 
@@ -22,7 +23,7 @@ use htp_cluster::vcycle::{vcycle_partition, VCycleParams};
 use htp_core::partitioner::PartitionerParams;
 use htp_model::TreeSpec;
 use htp_netlist::gen::rent::{rent_circuit, RentParams};
-use htp_netlist::{dedup_nets, NetId, DROPPED_NET};
+use htp_netlist::{contract_tracked_with, ContractScratch, NetId, DROPPED_NET};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -122,7 +123,9 @@ proptest! {
         nodes in 64usize..256,
     ) {
         let h = workload(seed, nodes);
-        let (dh, net_map, stats) = dedup_nets(&h);
+        let identity: Vec<usize> = (0..h.num_nodes()).collect();
+        let (dh, net_map, stats) =
+            contract_tracked_with(&h, &identity, &mut ContractScratch::new());
 
         prop_assert_eq!(net_map.len(), h.num_nets());
         prop_assert_eq!(stats.coarse_nets, dh.num_nets());

@@ -138,19 +138,6 @@ pub fn contract_tracked_with(
     (coarse, map.unwrap_or_default(), stats)
 }
 
-/// Merges nets with identical pin sets (summing capacities) without
-/// touching the node set: contraction by the identity map. The returned
-/// `net_map` sends each original net to its merged representative.
-///
-/// Node ids are unchanged, so any partition of the deduped hypergraph is
-/// a partition of the original — and has the same cost, since a cut pin
-/// set pays its summed capacity either way. Net ids are *renumbered*
-/// (lexicographic pin order), which is what the provenance map is for.
-pub fn dedup_nets(h: &Hypergraph) -> (Hypergraph, Vec<u32>, ContractStats) {
-    let identity: Vec<usize> = (0..h.num_nodes()).collect();
-    contract_tracked_with(h, &identity, &mut ContractScratch::new())
-}
-
 fn contract_core(
     h: &Hypergraph,
     cluster_of: &[usize],
@@ -434,6 +421,12 @@ mod tests {
         }
     }
 
+    /// The identity clustering: contraction by it only merges nets with
+    /// identical pin sets.
+    fn identity(h: &Hypergraph) -> Vec<usize> {
+        (0..h.num_nodes()).collect()
+    }
+
     #[test]
     fn dedup_merges_parallel_nets_and_keeps_nodes() {
         let mut b = HypergraphBuilder::new();
@@ -445,7 +438,8 @@ mod tests {
         b.add_net(1.0, [NodeId(2), NodeId(3)]).unwrap();
         b.add_net(0.5, [NodeId(1), NodeId(0)]).unwrap(); // same set, reordered
         let h = b.build().unwrap();
-        let (deduped, net_map, stats) = dedup_nets(&h);
+        let (deduped, net_map, stats) =
+            contract_tracked_with(&h, &identity(&h), &mut ContractScratch::new());
         assert_eq!(deduped.num_nodes(), 4);
         for v in h.nodes() {
             assert_eq!(deduped.node_size(v), h.node_size(v));
@@ -466,7 +460,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let inst = clustered_hypergraph(ClusteredParams::default(), &mut rng);
         let h = &inst.hypergraph;
-        let (deduped, net_map, stats) = dedup_nets(h);
+        let (deduped, net_map, stats) =
+            contract_tracked_with(h, &identity(h), &mut ContractScratch::new());
         assert_eq!(stats.dropped_nets, 0);
         assert_eq!(
             deduped.num_nets() + stats.merged_nets,

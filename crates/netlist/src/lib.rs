@@ -49,7 +49,7 @@ mod ids;
 
 pub use builder::HypergraphBuilder;
 pub use coarsen::{
-    contract_tracked_with, contract_with, dedup_nets, ContractScratch, ContractStats, DROPPED_NET,
+    contract_tracked_with, contract_with, ContractScratch, ContractStats, DROPPED_NET,
 };
 pub use csr::CsrHypergraph;
 pub use error::NetlistError;
