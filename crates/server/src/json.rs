@@ -6,8 +6,17 @@
 //! writer that escapes everything the parser understands. Object key
 //! order is preserved, which keeps frames byte-stable for a fixed input —
 //! useful for tests and digests.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays and objects: the parser
+//! recurses once per level, and the same parser reads socket frames, the
+//! cache file and warm-start state, so a deeply nested document must be
+//! a typed error rather than a stack overflow.
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Every
+/// document the server and CLI write nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -48,11 +57,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on any syntax violation.
+    /// Returns [`JsonError`] on any syntax violation, and when arrays and
+    /// objects nest deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -203,8 +213,15 @@ fn expect(
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(JsonError {
+            what: "arrays and objects nest too deeply",
+            at: *pos,
+        });
+    }
     match bytes.get(*pos) {
         None => Err(JsonError {
             what: "unexpected end of input",
@@ -214,13 +231,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         Some(b't') => expect(bytes, pos, b"true", "expected true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, b"false", "expected false").map(|()| Json::Bool(false)),
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(_) => parse_number(bytes, pos),
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -229,7 +246,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -247,7 +264,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -272,7 +289,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             });
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -460,6 +477,21 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` must fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        // 100 000 `[` would overflow a thread stack without the cap.
+        let bomb = "[".repeat(100_000);
+        let err = Json::parse(&bomb).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        let objects = "{\"k\":".repeat(100_000);
+        assert_eq!(Json::parse(&objects).unwrap_err().at, 5 * MAX_DEPTH);
+
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Scripted server-layer fault injection: worker panics, poisoned jobs,
-//! forced budget expiry, and cache corruption. Run with
+//! forced budget expiry, cache corruption, and hostile frames. Run with
 //! `--features fault-injection`.
 
 #![cfg(feature = "fault-injection")]
@@ -7,6 +7,8 @@
 use htp_netlist::gen::rent::{rent_circuit, RentParams};
 use htp_netlist::io::hgr;
 use htp_server::fault::ServerFaultPlan;
+use htp_server::json::Json;
+use htp_server::protocol::{read_frame, write_frame};
 use htp_server::{Client, JobRequest, Reply, Request, Server, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -167,4 +169,31 @@ fn forced_expiry_degrades_then_the_retry_completes() {
     assert_eq!(stats.completed, 1);
     assert_eq!(stats.degraded, 0, "the better attempt wins");
     server.drain();
+}
+
+#[test]
+fn a_json_nesting_bomb_is_a_typed_error_and_the_daemon_keeps_serving() {
+    let server = serve_with(ServerFaultPlan::new());
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // 100 KB of `[`: far under the frame cap, deep enough to overflow a
+    // thread stack in an uncapped recursive parser.
+    write_frame(&mut stream, "[".repeat(100_000).as_bytes()).unwrap();
+    let frame = read_frame(&mut stream).unwrap();
+    let doc = Json::parse(std::str::from_utf8(&frame).unwrap()).unwrap();
+    let reply = Reply::from_json(&doc).unwrap();
+    let Reply::Error { message } = reply else {
+        panic!("expected a typed error, got {reply:?}");
+    };
+    assert!(message.contains("nest too deeply"), "{message}");
+
+    // The same connection and a fresh one are both still served.
+    write_frame(&mut stream, Request::Ping.to_json().to_string().as_bytes()).unwrap();
+    let pong = Json::parse(std::str::from_utf8(&read_frame(&mut stream).unwrap()).unwrap());
+    assert!(matches!(Reply::from_json(&pong.unwrap()), Ok(Reply::Pong)));
+    assert!(matches!(
+        connect(&server).request(&Request::Ping).unwrap(),
+        Reply::Pong
+    ));
+    let report = server.drain();
+    assert!(!report.forced);
 }
