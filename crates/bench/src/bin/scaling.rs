@@ -1,5 +1,5 @@
-//! Scaling comparison: flat FLOW vs the two-level clustered pipeline vs
-//! the multilevel V-cycle, on Rent-style instances of growing size.
+//! Scaling comparison: flat FLOW vs the multilevel V-cycle, on Rent-style
+//! instances of growing size.
 //!
 //! Produces the numbers behind the scaling table in `EXPERIMENTS.md`:
 //! wall-clock seconds, certified cost, and the run outcome per
@@ -18,7 +18,6 @@
 use std::time::{Duration, Instant};
 
 use htp_bench::{paper_spec, threads_from_env, EXPERIMENT_SEED};
-use htp_cluster::pipeline::{clustered_flow_partition_with_budget, ClusteredFlowParams};
 use htp_cluster::vcycle::{vcycle_partition_with_budget, VCycleParams};
 use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
 use htp_core::runtime::{Budget, RunOutcome};
@@ -73,13 +72,6 @@ fn run_cell(engine: &str, h: &Hypergraph, spec: &TreeSpec, threads: usize, cap: 
                 .expect("flat FLOW must produce a partition");
             (run.result.partition, run.outcome)
         }
-        "two-level" => {
-            let mut params = ClusteredFlowParams::default();
-            params.partitioner.flow.threads = threads;
-            let run = clustered_flow_partition_with_budget(h, spec, params, &mut rng, &budget)
-                .expect("clustered pipeline must produce a partition");
-            (run.partition, run.outcome)
-        }
         "v-cycle" => {
             let mut params = VCycleParams::default();
             params.partitioner.flow.threads = threads;
@@ -115,7 +107,7 @@ fn main() {
     } else {
         &[2_000, 20_000, 100_000]
     };
-    const ENGINES: [&str; 3] = ["flat", "two-level", "v-cycle"];
+    const ENGINES: [&str; 2] = ["flat", "v-cycle"];
 
     println!(
         "{:<12} {:<10} {:>9} {:>10}  outcome",

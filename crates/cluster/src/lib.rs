@@ -1,5 +1,5 @@
-//! Circuit clustering by stochastic flow injection, and a cluster-coarsened
-//! FLOW pipeline.
+//! Circuit clustering by stochastic flow injection, and the multilevel
+//! V-cycle built on it.
 //!
 //! The paper's Algorithm 2 descends from the clustering method of Yeh,
 //! Cheng & Lin (its reference \[17\]): inject flow on shortest paths between
@@ -12,10 +12,11 @@
 //!
 //! * [`congestion`] — pairwise stochastic flow injection; per-net flows.
 //! * [`clusters`] — size-capped agglomeration along low-congestion nets.
-//! * [`pipeline`] — cluster → contract → FLOW on the coarse netlist →
-//!   project back → optional hierarchical-FM refinement (two levels).
-//! * [`vcycle`] — the full multilevel V-cycle: recursive coarsening, FLOW
-//!   at the coarsest level, flow-based boundary refinement per level.
+//! * [`vcycle`] — the multilevel V-cycle: recursive coarsening, FLOW at
+//!   the coarsest level, flow-based boundary refinement per level.
+//! * [`pipeline`] — the steps the V-cycle shares with the job server: the
+//!   budgeted coarse solve, projection to a finer netlist, and
+//!   hierarchical-FM refinement.
 //! * [`refine`] — the Heuer–Sanders–Schlag-style flow refinement pass.
 
 // Library code must surface failures as typed errors, not panics.

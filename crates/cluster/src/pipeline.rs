@@ -1,172 +1,29 @@
-//! The cluster-coarsened FLOW pipeline (a two-level multilevel scheme).
+//! Shared steps of the multilevel scheme: the budgeted coarse solve,
+//! projection back to a finer netlist, and hierarchical-FM refinement.
 //!
-//! 1. Compute a congestion profile and agglomerate nodes into clusters no
-//!    bigger than a fraction of the leaf capacity `C_0`.
-//! 2. Contract the netlist and run the flow-based partitioner on the
-//!    (much smaller) coarse netlist.
-//! 3. Project the coarse partition back to the fine netlist.
-//! 4. Optionally refine with the hierarchical FM pass.
+//! [`crate::vcycle`] strings these together level by level, and the job
+//! server reuses [`solve_budgeted`] for its flat path:
 //!
-//! Coarsening shrinks the dominant cost of Algorithm 2 (its Dijkstra
-//! sweeps) roughly quadratically in the contraction factor, at some loss
-//! of fine-grained freedom that step 4 wins back.
-//!
-//! The whole path is budget-aware: the coarse solve runs under the
-//! caller's [`Budget`], refinement is skipped once the deadline or cancel
-//! token fires, and the result reports how the run ended as a
-//! [`RunOutcome`]. For more than two levels, see [`crate::vcycle`].
+//! - [`solve_budgeted`] runs FLOW under the caller's [`Budget`] and, when
+//!   the budget fires before anything was found, salvages one bounded
+//!   round so a feasible instance never comes back empty-handed.
+//! - `project` replicates a coarse partition's tree on the fine netlist,
+//!   placing every fine node in its cluster's leaf.
+//! - [`refine_partition`] improves a partition with the hierarchical FM
+//!   pass and maps every baseline failure to a typed [`CoreError`].
 
 use rand::Rng;
 
 use htp_baselines::hfm::{improve, HfmParams};
-use htp_core::partitioner::{FlowPartitioner, PartitionerParams};
+use htp_core::partitioner::FlowPartitioner;
 use htp_core::runtime::{Budget, RunOutcome};
 use htp_core::CoreError;
-use htp_model::{cost, HierarchicalPartition, PartitionBuilder, TreeSpec, VertexId};
+use htp_model::{HierarchicalPartition, PartitionBuilder, TreeSpec, VertexId};
 use htp_netlist::{Hypergraph, NodeId};
-
-use crate::clusters::{agglomerate, Clustering};
-use crate::congestion::{flow_congestion, CongestionParams};
-
-/// Parameters of the coarsened pipeline.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClusteredFlowParams {
-    /// Congestion-profile parameters.
-    pub congestion: CongestionParams,
-    /// Cluster size cap as a fraction of the leaf capacity `C_0`
-    /// (must be in `(0, 1]`; smaller keeps more placement freedom).
-    pub cluster_cap_fraction: f64,
-    /// Inner partitioner parameters (run on the coarse netlist).
-    pub partitioner: PartitionerParams,
-    /// Run the hierarchical FM refinement on the projected partition.
-    pub refine: bool,
-}
-
-impl Default for ClusteredFlowParams {
-    fn default() -> Self {
-        ClusteredFlowParams {
-            congestion: CongestionParams::default(),
-            cluster_cap_fraction: 0.125,
-            partitioner: PartitionerParams::default(),
-            refine: true,
-        }
-    }
-}
-
-/// Result of the pipeline.
-#[derive(Clone, Debug)]
-pub struct ClusteredFlowResult {
-    /// The final fine-level partition.
-    pub partition: HierarchicalPartition,
-    /// Its interconnection cost.
-    pub cost: f64,
-    /// Cost right after projection, before refinement.
-    pub projected_cost: f64,
-    /// The clustering used for coarsening.
-    pub clustering: Clustering,
-    /// Size of the coarse netlist.
-    pub coarse_nodes: usize,
-    /// How the budgeted run ended ([`RunOutcome::Complete`] when nothing
-    /// fired; any other value means the partition was salvaged early).
-    pub outcome: RunOutcome,
-}
-
-/// Runs the cluster → FLOW → project → refine pipeline with no budget.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from the inner partitioner (infeasible specs,
-/// no feasible cuts) and from projection.
-///
-/// # Panics
-///
-/// Panics if `cluster_cap_fraction` is outside `(0, 1]`.
-pub fn clustered_flow_partition<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    spec: &TreeSpec,
-    params: ClusteredFlowParams,
-    rng: &mut R,
-) -> Result<ClusteredFlowResult, CoreError> {
-    clustered_flow_partition_with_budget(h, spec, params, rng, &Budget::unlimited())
-}
-
-/// Runs the cluster → FLOW → project → refine pipeline under `budget`.
-///
-/// The coarse FLOW solve consumes the budget's rounds/probes and honours
-/// its deadline and cancel token. When the budget fires before the coarse
-/// solve can salvage anything (e.g. a pre-cancelled token), one bounded
-/// salvage round still produces a valid partition, refinement is skipped,
-/// and the interrupt is reported in
-/// [`ClusteredFlowResult::outcome`] — the pipeline never runs to
-/// completion past an exhausted budget, but it also never returns empty-
-/// handed for a feasible instance.
-///
-/// # Errors
-///
-/// Propagates [`CoreError`] from the inner partitioner (infeasible specs,
-/// no feasible cuts), from projection, and from refinement.
-///
-/// # Panics
-///
-/// Panics if `cluster_cap_fraction` is outside `(0, 1]`.
-pub fn clustered_flow_partition_with_budget<R: Rng + ?Sized>(
-    h: &Hypergraph,
-    spec: &TreeSpec,
-    params: ClusteredFlowParams,
-    rng: &mut R,
-    budget: &Budget,
-) -> Result<ClusteredFlowResult, CoreError> {
-    assert!(
-        params.cluster_cap_fraction > 0.0 && params.cluster_cap_fraction <= 1.0,
-        "cluster_cap_fraction must be in (0, 1]"
-    );
-    if h.num_nodes() == 0 {
-        return Err(CoreError::EmptyNetlist);
-    }
-
-    // 1. Cluster under a cap that keeps coarse nodes placeable.
-    let cap = ((spec.capacity(0) as f64 * params.cluster_cap_fraction).floor() as u64).max(1);
-    let profile = flow_congestion(h, params.congestion, rng);
-    let clustering = agglomerate(h, &profile, cap);
-
-    // 2. Contract and partition the coarse netlist under the budget.
-    let coarse = h.contract(&clustering.cluster_of);
-    let partitioner = FlowPartitioner::try_new(params.partitioner)?;
-    let (coarse_partition, mut outcome) = solve_budgeted(&partitioner, &coarse, spec, rng, budget)?;
-
-    // 3. Project back.
-    let partition = project(&coarse_partition, &clustering.cluster_of, h.num_nodes())?;
-    htp_model::validate::validate(h, spec, &partition)?;
-    let projected_cost = cost::partition_cost(h, spec, &partition);
-
-    // 4. Refine, unless the budget has already fired.
-    let refine_allowed = match budget.check_time() {
-        Ok(()) => true,
-        Err(irq) => {
-            outcome = outcome.combine(RunOutcome::from_interrupt(irq));
-            false
-        }
-    };
-    let (partition, final_cost) = if params.refine && refine_allowed {
-        refine_partition(h, spec, &partition)?
-    } else {
-        (partition, projected_cost)
-    };
-
-    Ok(ClusteredFlowResult {
-        partition,
-        cost: final_cost,
-        projected_cost,
-        clustering,
-        coarse_nodes: coarse.num_nodes(),
-        outcome,
-    })
-}
 
 /// Runs the inner partitioner under `budget`, falling back to one bounded
 /// salvage round when the budget fires before anything was found. Used by
-/// this pipeline, the V-cycle's coarsest solve, and the job server's
-/// flat path.
+/// the V-cycle's coarsest solve and the job server's flat path.
 ///
 /// # Errors
 ///
@@ -248,8 +105,9 @@ pub(crate) fn project(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use htp_core::runtime::CancelToken;
-    use htp_model::validate;
+    use crate::clusters::{agglomerate_ordered, net_order};
+    use crate::congestion::{flow_congestion, CongestionParams};
+    use htp_core::partitioner::PartitionerParams;
     use htp_netlist::gen::rent::{rent_circuit, RentParams};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -269,125 +127,34 @@ mod tests {
         (h, spec)
     }
 
-    #[test]
-    fn pipeline_produces_valid_partitions() {
-        let (h, spec) = workload();
-        let mut rng = StdRng::seed_from_u64(13);
-        let r =
-            clustered_flow_partition(&h, &spec, ClusteredFlowParams::default(), &mut rng).unwrap();
-        validate::validate(&h, &spec, &r.partition).unwrap();
-        assert!(
-            r.coarse_nodes < h.num_nodes(),
-            "coarsening must shrink the netlist"
-        );
-        assert!(r.cost <= r.projected_cost + 1e-9, "refinement never hurts");
-        assert!((cost::partition_cost(&h, &spec, &r.partition) - r.cost).abs() < 1e-9);
-        assert!(r.outcome.is_complete(), "unbudgeted runs complete");
-    }
-
-    #[test]
-    fn unrefined_pipeline_reports_projected_cost() {
-        let (h, spec) = workload();
-        let mut rng = StdRng::seed_from_u64(14);
-        let params = ClusteredFlowParams {
-            refine: false,
-            ..Default::default()
-        };
-        let r = clustered_flow_partition(&h, &spec, params, &mut rng).unwrap();
-        assert_eq!(r.cost, r.projected_cost);
-    }
-
-    #[test]
-    fn coarse_quality_is_in_the_same_league_as_flat_flow() {
-        let (h, spec) = workload();
-        let mut rng = StdRng::seed_from_u64(15);
-        let coarse =
-            clustered_flow_partition(&h, &spec, ClusteredFlowParams::default(), &mut rng).unwrap();
-        let flat = FlowPartitioner::try_new(PartitionerParams::default())
+    fn flat_flow(h: &Hypergraph, spec: &TreeSpec, rng: &mut StdRng) -> HierarchicalPartition {
+        FlowPartitioner::try_new(PartitionerParams::default())
             .unwrap()
-            .run(&h, &spec, &mut rng)
-            .unwrap();
-        assert!(
-            coarse.cost <= 2.0 * flat.cost,
-            "coarsened {} should not collapse vs flat {}",
-            coarse.cost,
-            flat.cost
-        );
-    }
-
-    #[test]
-    fn empty_netlist_is_rejected() {
-        let h = htp_netlist::HypergraphBuilder::new().build().unwrap();
-        let spec = TreeSpec::new(vec![(2, 2, 1.0), (4, 2, 1.0)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(matches!(
-            clustered_flow_partition(&h, &spec, ClusteredFlowParams::default(), &mut rng),
-            Err(CoreError::EmptyNetlist)
-        ));
+            .run(h, spec, rng)
+            .unwrap()
+            .partition
     }
 
     #[test]
     fn projection_preserves_block_comembership() {
         let (h, spec) = workload();
         let mut rng = StdRng::seed_from_u64(16);
-        let params = ClusteredFlowParams {
-            refine: false,
-            ..Default::default()
-        };
-        let r = clustered_flow_partition(&h, &spec, params, &mut rng).unwrap();
+        let cap = (spec.capacity(0) / 8).max(1);
+        let profile = flow_congestion(&h, CongestionParams::default(), &mut rng);
+        let clustering = agglomerate_ordered(&h, &net_order(&h, &profile), &[], cap);
+        let coarse = h.contract(&clustering.cluster_of);
+        assert!(coarse.num_nodes() < h.num_nodes(), "clustering must shrink");
+        let coarse_partition = flat_flow(&coarse, &spec, &mut rng);
+        let p = project(&coarse_partition, &clustering.cluster_of, h.num_nodes()).unwrap();
+        htp_model::validate::validate(&h, &spec, &p).unwrap();
         // Nodes in one cluster must share a leaf after projection.
         for v in 0..h.num_nodes() {
             for u in v + 1..h.num_nodes() {
-                if r.clustering.cluster_of[v] == r.clustering.cluster_of[u] {
-                    assert_eq!(
-                        r.partition.leaf_of(NodeId::new(v)),
-                        r.partition.leaf_of(NodeId::new(u))
-                    );
+                if clustering.cluster_of[v] == clustering.cluster_of[u] {
+                    assert_eq!(p.leaf_of(NodeId::new(v)), p.leaf_of(NodeId::new(u)));
                 }
             }
         }
-    }
-
-    #[test]
-    fn pre_cancelled_token_interrupts_but_salvages_a_valid_partition() {
-        let (h, spec) = workload();
-        let mut rng = StdRng::seed_from_u64(17);
-        let token = CancelToken::new();
-        token.cancel(); // cancelled before the pipeline even starts
-        let budget = Budget::unlimited().with_cancel_token(token);
-        let r = clustered_flow_partition_with_budget(
-            &h,
-            &spec,
-            ClusteredFlowParams::default(),
-            &mut rng,
-            &budget,
-        )
-        .unwrap();
-        assert_eq!(
-            r.outcome,
-            RunOutcome::Cancelled,
-            "the interrupt must be visible, not swallowed"
-        );
-        // Refinement was skipped: the salvaged result is the projection.
-        assert_eq!(r.cost, r.projected_cost);
-        validate::validate(&h, &spec, &r.partition).unwrap();
-    }
-
-    #[test]
-    fn expired_deadline_reports_and_still_returns_valid_work() {
-        let (h, spec) = workload();
-        let mut rng = StdRng::seed_from_u64(18);
-        let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
-        let r = clustered_flow_partition_with_budget(
-            &h,
-            &spec,
-            ClusteredFlowParams::default(),
-            &mut rng,
-            &budget,
-        )
-        .unwrap();
-        assert_eq!(r.outcome, RunOutcome::DeadlineExceeded);
-        validate::validate(&h, &spec, &r.partition).unwrap();
     }
 
     #[test]
@@ -396,17 +163,7 @@ mod tests {
         // Cram every node into one leaf: wildly over capacity, so the FM
         // baseline must reject it — through a typed error, never a panic.
         let mut rng = StdRng::seed_from_u64(19);
-        let good = clustered_flow_partition(
-            &h,
-            &spec,
-            ClusteredFlowParams {
-                refine: false,
-                ..Default::default()
-            },
-            &mut rng,
-        )
-        .unwrap()
-        .partition;
+        let good = flat_flow(&h, &spec, &mut rng);
         let one_leaf = good.leaf_of(NodeId::new(0));
         let corrupted = good.with_assignment(vec![one_leaf; h.num_nodes()]).unwrap();
         let err = refine_partition(&h, &spec, &corrupted).unwrap_err();

@@ -1,14 +1,14 @@
 //! The multilevel V-cycle: recursive coarsening, FLOW at the coarsest
 //! level, and level-by-level uncoarsening with flow-based refinement.
 //!
-//! The two-level [`crate::pipeline`] proves the coarsen→FLOW→project
-//! scheme; this module recurses it. The down pass agglomerates repeatedly
-//! — congestion-guided while the graph is small enough to afford the
-//! stochastic routing, heavy-edge-rated above that — until the coarsest
-//! netlist fits a node threshold. FLOW solves the coarsest instance, and
-//! the up pass projects through each level, running a flow-based
-//! boundary-refinement pass ([`crate::refine`]) with a hierarchical-FM
-//! fallback at sizes where FM is affordable.
+//! The down pass agglomerates repeatedly — congestion-guided while the
+//! graph is small enough to afford the stochastic routing, heavy-edge-
+//! rated above that — until the coarsest netlist fits a node threshold.
+//! FLOW solves the coarsest instance, and the up pass projects through
+//! each level, running a flow-based boundary-refinement pass
+//! ([`crate::refine`]) with a hierarchical-FM fallback at sizes where FM
+//! is affordable. The shared solve/project/FM steps live in
+//! [`crate::pipeline`].
 //!
 //! Every phase polls the caller's [`Budget`]: a deadline or cancellation
 //! mid-cycle stops refinement and projects the best partition found so
@@ -36,9 +36,16 @@ use crate::refine::{flow_refine_pass, FlowRefineParams, FlowRefineReport};
 /// than this factor — further passes would stall at the same size.
 const MIN_SHRINK: f64 = 0.95;
 
-/// Node-count fractions the adaptive filler policy tries to freeze, in
-/// escalation order: start with nothing frozen and add smallest-first
-/// stripes until the coarse size distribution passes the packing screen.
+/// Node-count fractions each coarsening level tries to freeze as filler
+/// singletons, in escalation order: start with nothing frozen and add
+/// smallest-first stripes until the coarse size distribution passes the
+/// packing screen.
+///
+/// Repeated agglomeration makes every node chunky, and chunky nodes cannot
+/// land inside the tight block-size windows the constructive carve has to
+/// hit, so the coarse instance can turn infeasible although the fine one
+/// is not. The frozen singletons keep a small-size tail the carve can use
+/// as filler.
 const ADAPTIVE_FRACTIONS: [f64; 6] = [
     0.0,
     1.0 / 64.0,
@@ -47,26 +54,6 @@ const ADAPTIVE_FRACTIONS: [f64; 6] = [
     1.0 / 8.0,
     1.0 / 4.0,
 ];
-
-/// How coarsening picks filler singletons — the small nodes frozen out of
-/// agglomeration at each level so the coarsest carve can still land inside
-/// the spec's tight block-size windows.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum FillerPolicy {
-    /// Freeze every `stride`-th node (`0` freezes nothing) — the legacy
-    /// fixed stripe. Simple, but it freezes the same 1/stride of the
-    /// graph whether the level needs fillers or not, which inflates the
-    /// level count and the coarsest size on large instances.
-    Stride(usize),
-    /// Freeze only as much as the level provably needs: escalate through
-    /// fixed freeze fractions (0, 1/64, …, 1/4 — smallest nodes first,
-    /// ties by index) and accept the first clustering whose coarse sizes pass the
-    /// [`packing_infeasibility`] screen. Levels that never need fillers
-    /// freeze nothing and shrink at full speed; only the levels whose
-    /// size distribution actually threatens carve feasibility pay for a
-    /// singleton tail.
-    Adaptive,
-}
 
 /// Parameters of the multilevel V-cycle.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -94,10 +81,6 @@ pub struct VCycleParams {
     /// Cluster size cap as a fraction of the leaf capacity `C_0`, in
     /// `(0, 1]`. Bounds how big a coarse node may grow at any level.
     pub cluster_cap_fraction: f64,
-    /// How filler singletons are chosen at each coarsening level. The
-    /// preserved small-size tail is what lets the coarsest carve land
-    /// inside tight size windows; see [`FillerPolicy`].
-    pub fillers: FillerPolicy,
     /// Congestion-profile parameters for congestion-guided coarsening.
     pub congestion: CongestionParams,
     /// Use congestion-guided coarsening up to this many nodes; larger
@@ -105,8 +88,6 @@ pub struct VCycleParams {
     pub congestion_max_nodes: usize,
     /// Inner partitioner parameters for the coarsest solve.
     pub partitioner: PartitionerParams,
-    /// Run the flow-based boundary refinement at each uncoarsening level.
-    pub flow_refine: bool,
     /// Parameters of the flow-refinement pass.
     pub refine: FlowRefineParams,
     /// Fall back to the hierarchical-FM pass (when the flow pass moved
@@ -135,7 +116,6 @@ impl Default for VCycleParams {
             max_levels: 12,
             level_shrink: 4.0,
             cluster_cap_fraction: 0.5,
-            fillers: FillerPolicy::Adaptive,
             congestion: CongestionParams::default(),
             congestion_max_nodes: 4096,
             // One metric iteration suffices at the coarsest level: the
@@ -160,7 +140,6 @@ impl Default for VCycleParams {
                     ..FlowParams::default()
                 },
             },
-            flow_refine: true,
             refine: FlowRefineParams::default(),
             hfm_max_nodes: 4096,
             record_levels: false,
@@ -391,22 +370,14 @@ pub fn vcycle_partition_with_budget<R: Rng + ?Sized>(
                         panic!("fault injection: scripted refinement panic");
                     }
                 }
-                let (refined, refined_cost, report) = if params.flow_refine {
-                    flow_refine_pass(
-                        fine,
-                        spec,
-                        &projected,
-                        projected_cost,
-                        &params.refine,
-                        budget,
-                    )?
-                } else {
-                    (
-                        projected.clone(),
-                        projected_cost,
-                        FlowRefineReport::default(),
-                    )
-                };
+                let (refined, refined_cost, report) = flow_refine_pass(
+                    fine,
+                    spec,
+                    &projected,
+                    projected_cost,
+                    &params.refine,
+                    budget,
+                )?;
                 // HFM sweep on top of the flow pass, at levels small
                 // enough for FM's full move scan; kept only when it
                 // strictly improves.
@@ -573,14 +544,11 @@ fn down_pass<R: Rng + ?Sized>(
             // Sorted once per level and reused across every cap-decay and
             // filler-escalation retry below.
             let order = net_order(cur, &profile);
-            let freeze_order = match params.fillers {
-                FillerPolicy::Adaptive => {
-                    let sizes: Vec<u64> = cur.nodes().map(|v| cur.node_size(v)).collect();
-                    let mut o: Vec<usize> = (0..n).collect();
-                    o.sort_by_key(|&v| (sizes[v], v));
-                    o
-                }
-                FillerPolicy::Stride(_) => Vec::new(),
+            let freeze_order = {
+                let sizes: Vec<u64> = cur.nodes().map(|v| cur.node_size(v)).collect();
+                let mut o: Vec<usize> = (0..n).collect();
+                o.sort_by_key(|&v| (sizes[v], v));
+                o
             };
             // A stall — the cap leaves (almost) nothing to merge — does
             // not end the down pass outright: the cap target decays
@@ -597,7 +565,7 @@ fn down_pass<R: Rng + ?Sized>(
                     .min(global_cap)
                     .max(max_node);
                 let (clustering, frozen_fillers) =
-                    cluster_level(cur, &order, &freeze_order, cap, params.fillers, spec);
+                    cluster_level(cur, &order, &freeze_order, cap, spec);
                 if clustering.count as f64 <= n as f64 * MIN_SHRINK {
                     let (coarse, cstats) = contract_with(cur, &clustering.cluster_of, &mut scratch);
                     let stats = CoarsenLevelStats {
@@ -639,13 +607,14 @@ fn down_pass<R: Rng + ?Sized>(
     }
 }
 
-/// Clusters one coarsening level under `policy`, returning the clustering
-/// and how many filler singletons were frozen.
+/// Clusters one coarsening level, returning the clustering and how many
+/// filler singletons were frozen.
 ///
-/// For [`FillerPolicy::Adaptive`], walks the [`ADAPTIVE_FRACTIONS`]
-/// escalation — freezing the `freeze_order` prefix (smallest nodes first)
-/// — and accepts the first clustering whose coarse sizes pass the
-/// [`packing_infeasibility`] screen. When even the largest stripe fails
+/// Walks the [`ADAPTIVE_FRACTIONS`] escalation — freezing the
+/// `freeze_order` prefix (smallest nodes first, ties by index) — and
+/// accepts the first clustering whose coarse sizes pass the
+/// [`packing_infeasibility`] screen. Levels that never need fillers freeze
+/// nothing and shrink at full speed. When even the largest stripe fails
 /// the screen, the last clustering is returned anyway: the screen is a
 /// necessary condition only, and the coarsest-solve pre-check/backoff
 /// pops genuinely infeasible levels.
@@ -654,43 +623,27 @@ fn cluster_level(
     order: &[usize],
     freeze_order: &[usize],
     cap: u64,
-    policy: FillerPolicy,
     spec: &TreeSpec,
 ) -> (Clustering, usize) {
-    match policy {
-        FillerPolicy::Stride(stride) => {
-            let frozen: Vec<bool> = if stride == 0 {
-                Vec::new()
-            } else {
-                (0..cur.num_nodes())
-                    .map(|v| v.is_multiple_of(stride))
-                    .collect()
-            };
-            let count = frozen.iter().filter(|&&f| f).count();
-            (agglomerate_ordered(cur, order, &frozen, cap), count)
+    let n = cur.num_nodes();
+    let mut frozen = vec![false; n];
+    let mut prev = 0usize;
+    let mut last = None;
+    for &frac in &ADAPTIVE_FRACTIONS {
+        let count = (((n as f64) * frac).ceil() as usize).min(n);
+        for &v in &freeze_order[prev..count] {
+            frozen[v] = true;
         }
-        FillerPolicy::Adaptive => {
-            let n = cur.num_nodes();
-            let mut frozen = vec![false; n];
-            let mut prev = 0usize;
-            let mut last = None;
-            for &frac in &ADAPTIVE_FRACTIONS {
-                let count = (((n as f64) * frac).ceil() as usize).min(n);
-                for &v in &freeze_order[prev..count] {
-                    frozen[v] = true;
-                }
-                prev = count;
-                let clustering = agglomerate_ordered(cur, order, &frozen, cap);
-                let sizes = clustering.sizes(cur);
-                let feasible = packing_infeasibility(&sizes, spec).is_none();
-                last = Some((clustering, count));
-                if feasible {
-                    break;
-                }
-            }
-            last.expect("ADAPTIVE_FRACTIONS is non-empty")
+        prev = count;
+        let clustering = agglomerate_ordered(cur, order, &frozen, cap);
+        let sizes = clustering.sizes(cur);
+        let feasible = packing_infeasibility(&sizes, spec).is_none();
+        last = Some((clustering, count));
+        if feasible {
+            break;
         }
     }
+    last.expect("ADAPTIVE_FRACTIONS is non-empty")
 }
 
 /// Provable size-packing infeasibility screen.
@@ -785,7 +738,7 @@ pub fn packing_infeasibility(sizes: &[u64], spec: &TreeSpec) -> Option<CoreError
 /// Rates every net for heavy-edge coarsening: utilization becomes
 /// `pins/capacity`, so small, heavy nets merge first — the classic
 /// heavy-edge rating expressed as a [`CongestionProfile`] so
-/// [`agglomerate`] can consume it unchanged.
+/// [`agglomerate_ordered`] can consume it through [`net_order`] unchanged.
 fn heavy_edge_profile(h: &Hypergraph) -> CongestionProfile {
     CongestionProfile {
         flow: h.nets().map(|e| h.net_pins(e).len() as f64).collect(),
@@ -907,6 +860,29 @@ mod tests {
         validate::validate(&h, &spec, &r.partition).unwrap();
         // Refinement was skipped on every level.
         assert!(r.levels.iter().all(|l| l.flow_pairs_tried == 0));
+    }
+
+    #[test]
+    fn expired_deadline_reports_and_still_returns_valid_work() {
+        let (h, spec) = workload(1024, 3);
+        let mut rng = StdRng::seed_from_u64(18);
+        let budget = Budget::unlimited().with_deadline(std::time::Duration::ZERO);
+        let r = vcycle_partition_with_budget(&h, &spec, quick_params(), &mut rng, &budget).unwrap();
+        assert_eq!(r.outcome, RunOutcome::DeadlineExceeded);
+        let cert = htp_verify::certificate::certify(&h, &spec, &r.partition);
+        assert!(cert.is_valid(), "{:?}", cert.violations);
+        assert!((cert.cost.unwrap() - r.cost).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_netlist_is_rejected() {
+        let h = htp_netlist::HypergraphBuilder::new().build().unwrap();
+        let spec = TreeSpec::new(vec![(2, 2, 1.0), (4, 2, 1.0)]).unwrap();
+        let mut rng = StdRng::seed_from_u64(0);
+        assert!(matches!(
+            vcycle_partition(&h, &spec, VCycleParams::default(), &mut rng),
+            Err(CoreError::EmptyNetlist)
+        ));
     }
 
     #[test]

@@ -136,21 +136,6 @@ impl FlowPartitioner {
         Ok(FlowPartitioner { params })
     }
 
-    /// Creates a partitioner with the given parameters, panicking on
-    /// invalid ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `iterations` or `constructions_per_metric` is zero, or
-    /// the flow parameters are out of range.
-    #[deprecated(since = "0.2.0", note = "use the fallible `try_new` instead")]
-    pub fn new(params: PartitionerParams) -> Self {
-        match FlowPartitioner::try_new(params) {
-            Ok(p) => p,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// The configured parameters.
     pub fn params(&self) -> PartitionerParams {
         self.params
@@ -437,16 +422,6 @@ mod tests {
                 what: "delta must be positive"
             }
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn deprecated_constructor_still_panics() {
-        #[allow(deprecated)]
-        let _ = FlowPartitioner::new(PartitionerParams {
-            iterations: 0,
-            ..PartitionerParams::default()
-        });
     }
 
     #[test]

@@ -416,6 +416,10 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngExt, SeedableRng};
 
     #[test]
     fn round_trips_every_variant() {
@@ -498,5 +502,133 @@ mod tests {
     fn non_finite_numbers_degrade_to_null() {
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
         assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    /// Characters that exercise every branch of the string writer and
+    /// reader: quotes, backslashes, named and `\u` escapes, multi-byte
+    /// UTF-8 and plain ASCII.
+    const PALETTE: [char; 12] = [
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\u{1}',
+        '\u{7f}',
+        '\u{e9}',
+        '\u{1F600}',
+    ];
+
+    fn gen_string(rng: &mut StdRng) -> String {
+        let len = rng.random_range(0..8usize);
+        (0..len)
+            .map(|_| {
+                if rng.random_bool(0.8) {
+                    PALETTE[rng.random_range(0..PALETTE.len())]
+                } else {
+                    // Any scalar value, surrogates excluded by `from_u32`.
+                    char::from_u32(rng.random_range(0..0x11_0000u32)).unwrap_or('?')
+                }
+            })
+            .collect()
+    }
+
+    fn gen_number(rng: &mut StdRng) -> f64 {
+        match rng.random_range(0..3u32) {
+            0 => rng.random_range(-1_000_000i64..1_000_000) as f64,
+            1 => rng.random_range(-1.0e6..1.0e6f64),
+            _ => {
+                // Arbitrary bit patterns: subnormals, huge exponents, -0.
+                let x = f64::from_bits(rng.next_u64());
+                if x.is_finite() {
+                    x
+                } else {
+                    0.5
+                }
+            }
+        }
+    }
+
+    /// A random document: scalars at `depth == 0`, containers above.
+    fn gen_doc(rng: &mut StdRng, depth: usize) -> Json {
+        let kinds = if depth == 0 { 4 } else { 6 };
+        match rng.random_range(0..kinds) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.random_bool(0.5)),
+            2 => Json::Num(gen_number(rng)),
+            3 => Json::Str(gen_string(rng)),
+            4 => Json::Arr(
+                (0..rng.random_range(0..4usize))
+                    .map(|_| gen_doc(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.random_range(0..4usize))
+                    .map(|_| (gen_string(rng), gen_doc(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    /// Parsing never panics: it yields a value or an error that points
+    /// inside the input.
+    fn parse_is_total(text: &str) -> Result<(), TestCaseError> {
+        if let Err(e) = Json::parse(text) {
+            prop_assert!(
+                e.at <= text.len(),
+                "{e} is past the {}-byte input",
+                text.len()
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn generated_documents_round_trip(seed in 0u64..u64::MAX, depth in 0usize..5) {
+            let doc = gen_doc(&mut StdRng::seed_from_u64(seed), depth);
+            let text = doc.to_string();
+            let back = Json::parse(&text);
+            prop_assert_eq!(back.as_ref(), Ok(&doc), "text: {}", text);
+            prop_assert_eq!(back.map(|b| b.to_string()), Ok(text));
+        }
+
+        #[test]
+        fn truncated_documents_parse_or_fail_typed(seed in 0u64..u64::MAX, depth in 1usize..5) {
+            let text = gen_doc(&mut StdRng::seed_from_u64(seed), depth).to_string();
+            for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+                parse_is_total(&text[..end])?;
+            }
+        }
+
+        #[test]
+        fn mutated_documents_parse_or_fail_typed(
+            seed in 0u64..u64::MAX,
+            depth in 1usize..5,
+            edits in 1usize..6,
+        ) {
+            const STRUCTURAL: &[u8] = b"[]{}\",:\\u0123456789eE+-. \ttrnulf";
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut bytes = gen_doc(&mut rng, depth).to_string().into_bytes();
+            for _ in 0..edits {
+                let at = rng.random_range(0..=bytes.len());
+                let byte = if rng.random_bool(0.7) {
+                    STRUCTURAL[rng.random_range(0..STRUCTURAL.len())]
+                } else {
+                    rng.random_range(0..=255u8)
+                };
+                match rng.random_range(0..3u32) {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            parse_is_total(&String::from_utf8_lossy(&bytes))?;
+        }
     }
 }

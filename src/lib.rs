@@ -16,7 +16,7 @@
 //! * [`treepart`] — Vijayan's min-cost tree partitioning (reference \[16\]),
 //!   the fixed-tree sibling of HTP.
 //! * [`cluster`] — stochastic flow-injection clustering (reference \[17\])
-//!   and a cluster-coarsened FLOW pipeline.
+//!   and the multilevel V-cycle built on it.
 //! * [`verify`] — clean-room verification oracles: partition
 //!   certificates, spreading-metric audits, and adversarial instance
 //!   generators (shares no computation code with [`core`]).
